@@ -18,10 +18,10 @@ RACE_PKGS = ./internal/platform/... ./internal/respcache/... \
             ./internal/gabapi/... ./internal/dissenterweb/... \
             ./internal/crawlkit/... ./internal/dissentercrawl/...
 
-# Allocation budgets for one cache-miss render of the write-maintained
-# rankings (both measured ~15) and of a discussion page served from the
-# fragment view (measured ~11, constant in comments-per-URL; headroom
-# for noise). A regression past these fails bench-budget. The HIT
+# Allocation budgets for one cache-miss fill of the write-maintained
+# rankings (both measured 5) and of a discussion page from the fragment
+# view (measured 0, constant in comments-per-URL; headroom for noise).
+# A regression past these fails bench-budget. The HIT
 # budget is exact: a cache hit serves composed bytes and must allocate
 # NOTHING — the benchmark rounds its MemStats delta to the nearest
 # integer, so there is no noise to leave headroom for.
@@ -73,17 +73,18 @@ bench:
 	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.json BENCH_SERVE_MERGE=1 \
 		$(GO) test -run 'ProbablyNoSuchTest' -bench 'Hit' -cpu 1,2,4 -benchtime=100x .
 
-# Budget assertions on the hot read paths: a cache-miss trends or
-# leaderboard render must stay under its allocation budget regardless
-# of store size (both are served from write-maintained indexes,
-# O(TrendLimit) / O(LeaderLimit)).
+# Budget assertions on the hot read paths: a cache-miss trends,
+# leaderboard, or discussion fill must stay under its allocation budget
+# regardless of store or page size (all are served from
+# write-maintained views: O(TrendLimit) / O(LeaderLimit) / O(delta)).
+# The miss fills are benchmarked in-package, in internal/dissenterweb.
 bench-budget:
 	BENCH_TRENDS_MAX_ALLOCS=$(TRENDS_ALLOC_BUDGET) \
-		$(GO) test -run 'ProbablyNoSuchTest' -bench BenchmarkTrendsRenderMiss -benchtime=200x .
+		$(GO) test -run 'ProbablyNoSuchTest' -bench BenchmarkTrendsRenderMiss -benchtime=200x ./internal/dissenterweb/
 	BENCH_LEADER_MAX_ALLOCS=$(LEADER_ALLOC_BUDGET) \
-		$(GO) test -run 'ProbablyNoSuchTest' -bench BenchmarkLeaderboardRenderMiss -benchtime=200x .
+		$(GO) test -run 'ProbablyNoSuchTest' -bench BenchmarkLeaderboardRenderMiss -benchtime=200x ./internal/dissenterweb/
 	BENCH_DISC_MAX_ALLOCS=$(DISC_ALLOC_BUDGET) \
-		$(GO) test -run 'ProbablyNoSuchTest' -bench BenchmarkDiscussionRenderMiss -benchtime=200x .
+		$(GO) test -run 'ProbablyNoSuchTest' -bench BenchmarkDiscussionRenderMiss -benchtime=200x ./internal/dissenterweb/
 	BENCH_HIT_MAX_ALLOCS=$(HIT_ALLOC_BUDGET) \
 		$(GO) test -run 'ProbablyNoSuchTest' -bench 'BenchmarkDiscussionHit$$|BenchmarkDiscussionHit304$$' -benchtime=200x .
 
@@ -102,17 +103,21 @@ bench-compare:
 		-current $(CURDIR)/BENCH_serve.tmp.json
 	rm -f $(CURDIR)/BENCH_serve.tmp.json
 
-# The project's own five-analyzer suite (internal/lint: rangewalk,
-# viewpurity, cachecoherence, lockscope, wirecompat) runs through the
-# go vet -vettool protocol. The tool is built once into bin/ and the
-# go command caches per-package vet results against its hash, so
-# repeat runs only re-analyze changed packages.
+# The project's own four-analyzer suite (internal/lint: viewpurity,
+# cachecoherence, lockscope, wirecompat) runs through the go vet
+# -vettool protocol. The tool is built once into bin/ and the go
+# command caches per-package vet results against its hash, so repeat
+# runs only re-analyze changed packages. fleetbench is its own module,
+# so ./... does not reach it; vetting it separately makes a removed
+# API that the benchmark still calls fail here rather than in a
+# benchmark run.
 VETTOOL = $(CURDIR)/bin/dissenter-vet
 
 lint:
 	$(GO) build -o $(VETTOOL) ./cmd/dissenter-vet
 	$(GO) vet -vettool=$(VETTOOL) ./...
 	$(GO) vet ./...
+	cd fleetbench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \

@@ -17,7 +17,6 @@ import (
 	"net/url"
 	"os"
 	"regexp"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -173,10 +172,9 @@ func BenchmarkGabAPIConcurrentLoad(b *testing.B) {
 	})
 }
 
-func benchmarkDiscussionLoad(b *testing.B, opts ...dissenterweb.Option) {
+func BenchmarkWebDiscussionConcurrentCached(b *testing.B) {
 	out := loadFixture(b)
-	opts = append([]dissenterweb.Option{dissenterweb.WithURLRateLimit(0, 0)}, opts...)
-	s := dissenterweb.NewServer(out.DB, opts...)
+	s := dissenterweb.NewServer(out.DB, dissenterweb.WithURLRateLimit(0, 0))
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	client := benchClient()
@@ -199,14 +197,6 @@ func benchmarkDiscussionLoad(b *testing.B, opts ...dissenterweb.Option) {
 	if total := hits + misses; total > 0 {
 		b.ReportMetric(float64(hits)/float64(total)*100, "cache_hit_pct")
 	}
-}
-
-func BenchmarkWebDiscussionConcurrentCached(b *testing.B) {
-	benchmarkDiscussionLoad(b)
-}
-
-func BenchmarkWebDiscussionConcurrentUncached(b *testing.B) {
-	benchmarkDiscussionLoad(b, dissenterweb.WithResponseCache(0, 0))
 }
 
 // BenchmarkWebMixedReadWriteConcurrent is the live-growth load shape:
@@ -304,20 +294,16 @@ func BenchmarkWebMixedReadWriteConcurrent(b *testing.B) {
 // --- trends scaling benchmarks ------------------------------------------
 //
 // The trends ranking is write-maintained (platform trend index), so a
-// cache-miss render must cost O(TrendLimit) regardless of store size.
-// BenchmarkTrendsRenderMiss pins the render cost itself at two store
-// sizes two orders of magnitude apart — ns/op and allocs/op must stay
-// within the same ballpark, where the old full-scan ranking scaled
-// ~linearly with the URL table. BenchmarkTrendsUnderWriteLoad is the
-// adversarial §3.2 load shape: concurrent posters invalidating every
-// cached trends view while readers hammer the portal.
+// cache-miss render must cost O(TrendLimit) regardless of store size;
+// the fill itself, and its allocation budget, are pinned in-package by
+// dissenterweb's BenchmarkTrendsRenderMiss. BenchmarkTrendsUnderWriteLoad
+// is the adversarial §3.2 load shape at two store sizes two orders of
+// magnitude apart: concurrent posters invalidating every cached trends
+// view while readers hammer the portal.
 //
 // With BENCH_SERVE_JSON=<path> set, the serving-path metrics are
 // written as a machine-readable baseline (make bench emits
-// BENCH_serve.json). With BENCH_TRENDS_MAX_ALLOCS=<n> set,
-// BenchmarkTrendsRenderMiss fails if a render allocates more than n
-// objects — the CI bench-smoke budget that catches allocation
-// regressions on the hot path.
+// BENCH_serve.json).
 
 // trendsScale is one benchmark store size.
 type trendsScale struct {
@@ -462,81 +448,15 @@ func BenchmarkTrendsUnderWriteLoad(b *testing.B) {
 	}
 }
 
-// benchmarkRenderMiss measures a single render of one write-maintained
-// ranking page with caching disabled, at both store scales — the pure
-// cache-miss cost the acceptance budgets govern. Single-goroutine so
-// the MemStats delta is the render's own allocation count. With the
-// budgetEnv variable set, it fails past that allocation budget — the
-// CI bench-smoke assertion that catches hot-path regressions.
-func benchmarkRenderMiss(b *testing.B, path, metricPrefix, budgetEnv string) {
-	for _, sc := range trendsScales {
-		b.Run(sc.name, func(b *testing.B) {
-			f := trendsBenchFixture(b, sc)
-			s := dissenterweb.NewServer(f.db,
-				dissenterweb.WithURLRateLimit(0, 0),
-				dissenterweb.WithResponseCache(0, 0))
-			req := httptest.NewRequest(http.MethodGet, path, nil)
-			// Warm the immutable row-fragment memo so the measured ops
-			// see the steady state, then measure.
-			s.ServeHTTP(httptest.NewRecorder(), req)
-			b.ReportAllocs()
-			var ms0, ms1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&ms0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK {
-					b.Fatalf("%s status = %d", path, rec.Code)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&ms1)
-			allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			recordServeMetrics(metricPrefix+"/"+sc.name, map[string]float64{
-				"ns_per_op":     nsPerOp,
-				"allocs_per_op": allocsPerOp,
-			})
-			if budget := os.Getenv(budgetEnv); budget != "" {
-				max, err := strconv.ParseFloat(budget, 64)
-				if err != nil {
-					b.Fatalf("bad %s %q: %v", budgetEnv, budget, err)
-				}
-				if allocsPerOp > max {
-					b.Fatalf("%s render allocates %.1f objects/op, budget %v — the hot path regressed",
-						path, allocsPerOp, budget)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTrendsRenderMiss pins the cache-miss trends render cost.
-func BenchmarkTrendsRenderMiss(b *testing.B) {
-	benchmarkRenderMiss(b, "/trends", "TrendsRenderMiss", "BENCH_TRENDS_MAX_ALLOCS")
-}
-
 // --- leaderboard scaling benchmarks --------------------------------------
 //
 // The net-vote leaderboard is write-maintained like trends, but over
 // NON-monotone scores (platform vote index, rankheap.Exact): a
 // cache-miss GET /leaderboard render must cost O(LeaderLimit)
-// regardless of store size. BenchmarkLeaderboardRenderMiss pins the
-// render cost at the same two store sizes as the trends benchmarks —
-// ns/op and allocs/op must stay flat from 1k to 100k URLs, where a
-// full-scan ranking would scale linearly. With
-// BENCH_LEADER_MAX_ALLOCS=<n> set it fails past the allocation budget,
-// mirroring the trends budget in CI. BenchmarkLeaderboardUnderVoteLoad
+// regardless of store size, which dissenterweb's
+// BenchmarkLeaderboardRenderMiss pins. BenchmarkLeaderboardUnderVoteLoad
 // is the adversarial shape: concurrent voters invalidating the cached
 // leaderboard while readers hammer it.
-
-// BenchmarkLeaderboardRenderMiss pins the cache-miss leaderboard
-// render cost — same harness as the trends budget, different ranking.
-func BenchmarkLeaderboardRenderMiss(b *testing.B) {
-	benchmarkRenderMiss(b, "/leaderboard", "LeaderboardRenderMiss", "BENCH_LEADER_MAX_ALLOCS")
-}
 
 // BenchmarkLeaderboardUnderVoteLoad is the moving-target regime for
 // votes: a concurrent mix where every 4th request casts a vote through
@@ -616,15 +536,9 @@ func BenchmarkLeaderboardUnderVoteLoad(b *testing.B) {
 // (pre-escaped per-comment fragments memoized at write time, per-view
 // streams maintained incrementally), so a cache-miss FILL is O(delta):
 // a memoized head, an O(1) stream snapshot, a counter read — never a
-// walk over the page's comments and never a re-escape.
-// BenchmarkDiscussionRenderMiss pins exactly that: allocs/op and ns/op
-// must stay flat from a 100-comment page to a 10k-comment page (the
-// seed render walked and escaped all 10k on every miss). The response
-// body is written to a discarding ResponseWriter because shoveling the
-// page's bytes is proportional to page size for ANY implementation;
-// the quantity under test is the render work, which must not be. With
-// BENCH_DISC_MAX_ALLOCS=<n> set it fails past the allocation budget,
-// the third CI budget beside trends and leaderboard.
+// walk over the page's comments and never a re-escape. dissenterweb's
+// BenchmarkDiscussionRenderMiss pins the fill at 100 and 10k comments
+// per page; the benchmarks here load the served page.
 
 // discussionScales size the comments-per-URL axis; store size is held
 // small so the only variable is page length.
@@ -642,55 +556,6 @@ func (d *discardRW) Write(b []byte) (int, error)       { return len(b), nil }
 func (d *discardRW) WriteString(s string) (int, error) { return len(s), nil }
 func (d *discardRW) WriteHeader(int)                   {}
 func newDiscardRW() *discardRW                         { return &discardRW{h: http.Header{}} }
-
-// BenchmarkDiscussionRenderMiss measures one uncached discussion fill
-// at 100 and 10k comments per page — the acceptance gate is the 10k
-// page staying within 2x of the 100-comment page on both ns/op and
-// allocs/op.
-func BenchmarkDiscussionRenderMiss(b *testing.B) {
-	for _, sc := range discussionScales {
-		b.Run(sc.name, func(b *testing.B) {
-			f := buildTrendsFixture(sc)
-			s := dissenterweb.NewServer(f.db,
-				dissenterweb.WithURLRateLimit(0, 0),
-				dissenterweb.WithResponseCache(0, 0))
-			target := f.hot[0]
-			req := httptest.NewRequest(http.MethodGet,
-				"/discussion?url="+url.QueryEscape(target.URL), nil)
-			// Warm the write-time memos (head fragment, comment stream)
-			// so the measured ops see the steady state the production
-			// path runs in, then measure the pure miss fill.
-			s.ServeHTTP(newDiscardRW(), req)
-			w := newDiscardRW()
-			b.ReportAllocs()
-			var ms0, ms1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&ms0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.ServeHTTP(w, req)
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&ms1)
-			allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			recordServeMetrics("DiscussionRenderMiss/"+sc.name, map[string]float64{
-				"ns_per_op":     nsPerOp,
-				"allocs_per_op": allocsPerOp,
-			})
-			if budget := os.Getenv("BENCH_DISC_MAX_ALLOCS"); budget != "" {
-				max, err := strconv.ParseFloat(budget, 64)
-				if err != nil {
-					b.Fatalf("bad BENCH_DISC_MAX_ALLOCS %q: %v", budget, err)
-				}
-				if allocsPerOp > max {
-					b.Fatalf("discussion miss allocates %.1f objects/op at %s, budget %v — the hot path regressed",
-						allocsPerOp, sc.name, budget)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkViralDiscussionUnderMixedLoad is the paper-scale adversarial
 // shape (Rye, Blackburn & Beverly, Figs. 4–5): ONE viral URL with 10k+

@@ -73,9 +73,8 @@ func hitBenchServer(b *testing.B, sc trendsScale) (*dissenterweb.Server, *http.R
 }
 
 // BenchmarkDiscussionHit measures one cache-hit serve of the viral-page
-// shape (10k comments) — the acceptance gate is 0 allocs/op and at
-// least 5x less time than DiscussionRenderMiss at the same scale,
-// because a hit shovels composed bytes instead of rendering.
+// shape (10k comments) — the acceptance gate is 0 allocs/op, because a
+// hit shovels composed bytes instead of rendering.
 func BenchmarkDiscussionHit(b *testing.B) {
 	sc := discussionScales[1]
 	s, req, _ := hitBenchServer(b, sc)

@@ -88,9 +88,12 @@
 // pin each ranking's exact agreement with a full scan under concurrent
 // writes. Bulk readers (Validate, Census, analyses) iterate through
 // the zero-copy RangeUsers/RangeURLs/RangeComments accessors, which
-// pin the append-only insertion log under a brief read lock and walk
-// it in place; no HTTP handler materializes a whole-store slice
-// snapshot.
+// pin the append-only entity slices under a brief lock and walk them in
+// place; no HTTP handler materializes a whole-store slice snapshot.
+// The slices hold records in event-log order — a new record and its
+// event are appended in one critical section — so a replay, a
+// checkpoint plus WAL recovery, and a replica all rebuild the
+// primary's order.
 //
 // The fourth view is content, not ordering: the discussion/home
 // fragment view (internal/platform/pageindex.go) memoizes each

@@ -227,7 +227,7 @@ func TestPostCommentCoherenceContract(t *testing.T) {
 	// Every view of every subject must be warm before the post.
 	for _, sub := range subjects {
 		for vk := range viewTokens {
-			if _, ok := s.cacheGet(sub.prefix + vk); !ok {
+			if _, ok := s.cache.GetBytes([]byte(sub.prefix + vk)); !ok {
 				t.Fatalf("key %q not warmed", sub.prefix+vk)
 			}
 		}
@@ -240,7 +240,7 @@ func TestPostCommentCoherenceContract(t *testing.T) {
 	for _, sub := range subjects {
 		for vk := range viewTokens {
 			key := sub.prefix + vk
-			p, ok := s.cacheGet(key)
+			p, ok := s.cache.GetBytes([]byte(key))
 			switch sub.want {
 			case dropped:
 				if ok {

@@ -29,17 +29,13 @@ var leaderKey = []byte(SubjectLeaderboard)
 
 // handleLeaderboard renders the net-vote leaderboard.
 func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
-	if s.cache == nil {
-		writePage(w, page{simple: s.leaderboardBody()})
-		return
-	}
 	// Same probe-then-fill shape as the keyed handlers; GetBytes leaves
-	// miss accounting to the GetOrFillRev fall-through.
+	// miss accounting to the GetOrFill fall-through.
 	if p, ok := s.cache.GetBytes(leaderKey); ok {
 		s.respond(w, r, p)
 		return
 	}
-	p, _ := s.cache.GetOrFillRev(SubjectLeaderboard, func(rev respcache.Rev) page {
+	p := s.cache.GetOrFill(SubjectLeaderboard, func(rev respcache.Rev) page {
 		p := page{simple: s.leaderboardBody(), rev: rev, resp: &respBox{}}
 		p.resp.composed(&p)
 		return p

@@ -34,7 +34,7 @@ var (
 // content generation. The box pointer is shared between the cached
 // entry and every page copy handed to readers, so whichever request
 // composes first publishes for all. A write that patches the entry
-// (refreshDiscussion via UpdateRev) swaps in a fresh empty box along
+// (refreshDiscussion via Update) swaps in a fresh empty box along
 // with the new Rev under the shard lock — the generation changed, so
 // the old composed bytes become unreachable from the cache atomically
 // with the content change, and composing (gzip included) never runs
@@ -46,7 +46,7 @@ type respBox struct {
 
 // composed returns the generation's composed form, building it at most
 // once. p is the caller's copy of the entry; it is the same generation
-// as the box, because UpdateRev replaces box and parts under one shard
+// as the box, because Update replaces box and parts under one shard
 // lock acquisition.
 func (b *respBox) composed(p *page) *respcache.Composed {
 	if c := b.c.Load(); c != nil {
@@ -62,8 +62,8 @@ func (b *respBox) composed(p *page) *respcache.Composed {
 	return c
 }
 
-// composeBody flattens a page entry into the exact bytes writePage
-// streams — the oracle tests pin the two paths byte-identical.
+// composeBody flattens a page entry into its response body: the one
+// body assembler every fill and every post-patch hit goes through.
 func composeBody(p *page) []byte {
 	if p.head == "" {
 		return []byte(p.simple)
@@ -77,14 +77,7 @@ func composeBody(p *page) []byte {
 }
 
 // respond serves one cache entry through the composed-response layer.
-// Entries from a disabled cache (no resp box) fall back to the
-// streaming writePage path: with nothing cached there is no stable
-// generation to validate or pre-compress against.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, p page) {
-	if p.resp == nil {
-		writePage(w, p)
-		return
-	}
 	c := p.resp.composed(&p)
 	h := w.Header()
 	h["Etag"] = c.ETagHdr

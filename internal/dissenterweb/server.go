@@ -10,10 +10,13 @@
 // its hot endpoints — comment listings, user profiles, trends — with an
 // LRU+TTL response cache keyed by endpoint, subject, and session view
 // (so shadow-overlay opt-ins never leak into another session's cached
-// page). Cache misses coalesce through respcache.GetOrFill, so a
-// stampede of concurrent requests on one cold hot page runs a single
-// render. Discussion pages cache STRUCTURED entries — the stable
-// pre-escaped head and comment stream separated from the mutable
+// page). Each cached page — home, discussion, trends, leaderboard — has
+// one serve path: a zero-allocation respcache.GetBytes probe, then on a
+// miss one fill through respcache.GetOrFill, then respond from the
+// entry's composed form. Misses coalesce in GetOrFill, so a stampede of
+// concurrent requests on one cold hot page runs a single render.
+// Discussion pages cache STRUCTURED entries — the stable pre-escaped
+// head and comment stream separated from the mutable
 // vote/count span — assembled from the store's write-maintained
 // fragment view (platform.DB.CommentStream): a vote patches two
 // integers in place, a posted comment swaps in the view's grown stream
@@ -77,9 +80,6 @@ type Server struct {
 	db    *platform.DB
 	idgen *ids.Generator
 	cache *respcache.Cache[page]
-	// cacheConfigured marks that WithResponseCache ran, so NewServer
-	// does not build the default cache just to throw it away.
-	cacheConfigured bool
 
 	urlLimit  int // requests per URL per window (10/min observed)
 	urlWindow time.Duration
@@ -163,21 +163,12 @@ func WithURLRateLimit(limit int, window time.Duration) Option {
 	}
 }
 
-// Default response-cache shape: enough entries for the hot set of a
+// The response cache's shape: enough entries for the hot set of a
 // crawl, with a short TTL as the invalidation backstop.
 const (
 	DefaultCacheSize = 4096
 	DefaultCacheTTL  = 30 * time.Second
 )
-
-// WithResponseCache overrides the response cache's capacity and TTL.
-// size <= 0 or ttl <= 0 disables caching entirely.
-func WithResponseCache(size int, ttl time.Duration) Option {
-	return func(s *Server) {
-		s.cache = respcache.New[page](size, ttl)
-		s.cacheConfigured = true
-	}
-}
 
 // WithHealth routes /healthz (liveness, always 200) and /readyz
 // (traffic steering: 503 while any registered check fails or a drain
@@ -200,6 +191,7 @@ func NewServer(db *platform.DB, opts ...Option) *Server {
 		idgen:     ids.NewGenerator(0xD15C0551 ^ serverSeq.Add(1)<<32 ^ uint64(time.Now().UnixNano())),
 		urlLimit:  10,
 		urlWindow: time.Minute,
+		cache:     respcache.New[page](DefaultCacheSize, DefaultCacheTTL),
 		sessions:  map[string]Session{},
 		hits:      map[string]*hitWindow{},
 	}
@@ -210,9 +202,6 @@ func NewServer(db *platform.DB, opts ...Option) *Server {
 	s.discHeads.max = 4 * DefaultCacheSize
 	for _, o := range opts {
 		o(s)
-	}
-	if !s.cacheConfigured {
-		s.cache = respcache.New[page](DefaultCacheSize, DefaultCacheTTL)
 	}
 	return s
 }
@@ -277,8 +266,6 @@ func viewKey(sess Session) string {
 // prefix scan.
 var allViewKeys = [...]string{"00", "01", "10", "11"}
 
-func (s *Server) cacheGet(key string) (page, bool) { return s.cache.Get(key) }
-
 // invalidateSubject drops every session view of one cache subject
 // ("home|<author>|" or "trends|").
 func (s *Server) invalidateSubject(prefix string) {
@@ -298,8 +285,7 @@ func (s *Server) invalidateSubject(prefix string) {
 // (rev, stamped by the cache) and a shared respBox that lazily holds
 // the composed response — final bytes, write-time gzip variant, ETag —
 // so cache hits shovel pre-built bytes instead of rendering (see
-// respond.go). Entries from a disabled cache leave both zero and are
-// streamed by writePage.
+// respond.go).
 type page struct {
 	simple string
 
@@ -311,27 +297,11 @@ type page struct {
 	resp *respBox
 }
 
-// writePage sends a cached or freshly filled entry. Structured entries
-// are written part by part — the mutable span is rendered from its
-// integers into a stack buffer — so serving never re-assembles a body
-// string.
-func writePage(w http.ResponseWriter, p page) {
-	if p.head == "" {
-		writeHTML(w, p.simple)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	io.WriteString(w, p.head)
-	var a [160]byte
-	w.Write(appendVoteSpan(a[:0], p.ups, p.downs, p.count))
-	w.Write(p.stream)
-	io.WriteString(w, "</body></html>\n")
-}
-
 // appendVoteSpan renders the mutable vote/count span of a structured
-// discussion page into dst — the single source of those bytes for both
-// the streaming path (writePage) and the composed path (composeBody),
-// so the two can never drift apart.
+// discussion page into dst. composeBody calls it on every fill and on
+// the first hit after an in-place patch (refreshDiscussion), so a
+// patched tally reaches the wire through the same bytes a fresh render
+// produces.
 func appendVoteSpan(dst []byte, ups, downs, count int) []byte {
 	dst = append(dst, `<span class="votes" data-up="`...)
 	dst = strconv.AppendInt(dst, int64(ups), 10)
@@ -355,7 +325,7 @@ func (s *Server) refreshDiscussion(raw string, urlID ids.ObjectID) {
 	for _, vk := range allViewKeys {
 		key := DiscussionSubject(raw) + vk
 		showNSFW, showOffensive := vk[0] == '1', vk[1] == '1'
-		patched := s.cache.UpdateRev(key, func(p page, rev respcache.Rev) page {
+		patched := s.cache.Update(key, func(p page, rev respcache.Rev) page {
 			p.stream, p.count = s.db.CommentStream(urlID, showNSFW, showOffensive)
 			p.ups, p.downs = s.db.Votes(urlID)
 			// Adopt the fresh generation stamp and an empty composed box:
@@ -374,8 +344,8 @@ func (s *Server) refreshDiscussion(raw string, urlID ids.ObjectID) {
 	}
 }
 
-// CacheStats exposes the response cache's hit/miss counters (zero when
-// caching is disabled); the load benchmarks report them.
+// CacheStats exposes the response cache's hit/miss counters; the load
+// benchmarks report them.
 func (s *Server) CacheStats() (hits, misses uint64) { return s.cache.Stats() }
 
 // rateLimitEntries reports the number of live rate-limit windows; the
@@ -557,17 +527,13 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request, username str
 		return
 	}
 	sess := s.session(r)
-	if s.cache == nil {
-		writePage(w, page{simple: s.homeBody(u, sess)})
-		return
-	}
 	var kb [128]byte
 	key := appendSubjectKey(kb[:0], SubjectHome, username, sess)
 	if p, ok := s.cache.GetBytes(key); ok {
 		s.respond(w, r, p)
 		return
 	}
-	p, _ := s.cache.GetOrFillRev(string(key), func(rev respcache.Rev) page {
+	p := s.cache.GetOrFill(string(key), func(rev respcache.Rev) page {
 		p := page{simple: s.homeBody(u, sess), rev: rev, resp: &respBox{}}
 		p.resp.composed(&p)
 		return p
@@ -638,17 +604,13 @@ func (s *Server) handleDiscussion(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := s.session(r)
-	if s.cache == nil {
-		writePage(w, s.discussionPage(cu, sess.ShowNSFW, sess.ShowOffensive))
-		return
-	}
 	var kb [512]byte
 	key := appendSubjectKey(kb[:0], SubjectDiscussion, raw, sess)
 	if p, ok := s.cache.GetBytes(key); ok {
 		s.respond(w, r, p)
 		return
 	}
-	p, _ := s.cache.GetOrFillRev(string(key), func(rev respcache.Rev) page {
+	p := s.cache.GetOrFill(string(key), func(rev respcache.Rev) page {
 		p := s.discussionPage(cu, sess.ShowNSFW, sess.ShowOffensive)
 		p.rev = rev
 		p.resp = &respBox{}

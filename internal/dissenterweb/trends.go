@@ -39,17 +39,13 @@ import (
 // posted comment invalidates every cached trends view.
 func (s *Server) handleTrends(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(r)
-	if s.cache == nil {
-		writePage(w, page{simple: s.trendsBody(sess)})
-		return
-	}
 	var kb [16]byte
 	key := appendViewKey(append(kb[:0], SubjectTrends...), sess)
 	if p, ok := s.cache.GetBytes(key); ok {
 		s.respond(w, r, p)
 		return
 	}
-	p, _ := s.cache.GetOrFillRev(string(key), func(rev respcache.Rev) page {
+	p := s.cache.GetOrFill(string(key), func(rev respcache.Rev) page {
 		p := page{simple: s.trendsBody(sess), rev: rev, resp: &respBox{}}
 		p.resp.composed(&p)
 		return p

@@ -23,11 +23,9 @@ var dbMutators = map[string]bool{
 // read-your-write contract after a store write: drop the entry, patch
 // it in place, or refill through the tombstone protocol.
 var coherenceMethods = map[string]bool{
-	"Invalidate":   true,
-	"Update":       true,
-	"GetOrFill":    true,
-	"UpdateRev":    true,
-	"GetOrFillRev": true,
+	"Invalidate": true,
+	"Update":     true,
+	"GetOrFill":  true,
 }
 
 // cacheSubjectPrefixes are the response-cache key namespaces from the

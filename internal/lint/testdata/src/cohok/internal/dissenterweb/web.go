@@ -29,21 +29,14 @@ func (s *server) handleComment() {
 }
 
 func (s *server) refresh() {
-	if !s.cache.Update(subjectTrends+"00", func(v string) string { return v }) {
+	if !s.cache.Update(subjectTrends+"00", func(v string, _ respcache.Rev) string { return v }) {
 		s.cache.Invalidate(subjectTrends + "00")
 	}
 }
 
-// handleVoteComposed mutates and patches through the composed-response
-// layer's stamped variants; the analyzer must count UpdateRev and
-// GetOrFillRev as coherence just like their unstamped forms.
-func (s *server) handleVoteComposed() {
-	s.db.Vote(2, 0, 1)
-	s.refreshComposed()
-}
-
-func (s *server) refreshComposed() {
-	if !s.cache.UpdateRev(subjectTrends+"01", func(v string, _ respcache.Rev) string { return v }) {
-		_, _ = s.cache.GetOrFillRev(subjectTrends+"01", func(respcache.Rev) string { return "" })
-	}
+// handleRegister mutates and refills: GetOrFill counts as coherence
+// too, since its tombstone protocol discards a fill racing the write.
+func (s *server) handleRegister() {
+	s.db.SubmitURL("https://x.test/")
+	_ = s.cache.GetOrFill(subjectLeaderboard, func(respcache.Rev) string { return "" })
 }

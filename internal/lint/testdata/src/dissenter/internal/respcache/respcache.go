@@ -5,30 +5,19 @@ package respcache
 
 type Cache[V any] struct{}
 
-func (c *Cache[V]) Get(key string) (V, bool) {
-	var zero V
-	return zero, false
-}
-
-func (c *Cache[V]) GetOrFill(key string, fill func() V) (V, bool) {
-	return fill(), false
-}
-
-func (c *Cache[V]) Invalidate(key string) {}
-
-func (c *Cache[V]) Update(key string, f func(V) V) bool { return false }
-
 type Rev struct {
 	Epoch, Seq uint64
 }
 
-func (c *Cache[V]) GetOrFillRev(key string, fill func(Rev) V) (V, bool) {
-	return fill(Rev{}), false
-}
+func (c *Cache[V]) GetOrFill(key string, fill func(Rev) V) V { return fill(Rev{}) }
 
-func (c *Cache[V]) UpdateRev(key string, f func(V, Rev) V) bool { return false }
+func (c *Cache[V]) Update(key string, f func(V, Rev) V) bool { return false }
 
 func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	var zero V
 	return zero, false
 }
+
+func (c *Cache[V]) Invalidate(key string) {}
+
+func (c *Cache[V]) Stats() (hits, misses uint64) { return 0, 0 }

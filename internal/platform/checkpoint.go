@@ -41,16 +41,13 @@ func (db *DB) Checkpoint() Checkpoint {
 
 	db.eventMu.Lock()
 	seq := db.eventBase + uint64(len(db.events))
-	db.eventMu.Unlock()
-
-	db.mu.RLock()
 	users := make([]*User, len(db.users))
 	copy(users, db.users)
 	urls := make([]*CommentURL, len(db.urls))
 	copy(urls, db.urls)
 	comments := make([]*Comment, len(db.comments))
 	copy(comments, db.comments)
-	db.mu.RUnlock()
+	db.eventMu.Unlock()
 
 	for i, cu := range urls {
 		if d, ok := db.votes.get(cu.ID); ok && (d.ups != 0 || d.downs != 0) {

@@ -149,12 +149,25 @@ func (db *DB) ViewNames() []string {
 }
 
 // dispatch appends the event to the log, wakes any AwaitEvents
-// waiters, and fans the event out to every registered view. It runs
-// after the write method's base-index updates, so a caller that
+// waiters, and fans the event out to every registered view. An event
+// that introduces an entity also appends it to its entity slice, in
+// the same critical section as the log append: two racing writes then
+// sit in the same order in RangeUsers/RangeURLs/RangeComments as in
+// the log, so a replay, a checkpoint plus WAL recovery, and a replica
+// all rebuild the primary's order. Views apply outside every lock. It
+// runs after the write method's base-index updates, so a caller that
 // invalidates cached renderings when the write returns never lets a
 // reader re-render pre-write view state.
 func (db *DB) dispatch(ev Event) {
 	db.eventMu.Lock()
+	switch e := ev.(type) {
+	case UserAdded:
+		db.users = append(db.users, e.User)
+	case URLSubmitted:
+		db.urls = append(db.urls, e.URL)
+	case CommentAdded:
+		db.comments = append(db.comments, e.Comment)
+	}
 	db.events = append(db.events, ev)
 	views := db.views
 	if len(db.waiters) > 0 {

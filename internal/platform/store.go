@@ -36,7 +36,11 @@ type DB struct {
 	// Writers share it, so it adds no writer-writer serialization.
 	gate sync.RWMutex
 
-	mu       sync.RWMutex // guards the entity slices below
+	// The append-only entity slices, in event-log order: dispatch
+	// appends a new record here and its event to the log in one eventMu
+	// critical section, so racing writers can never land in one order
+	// here and another in the log that ReplayInto, checkpoint+WAL
+	// recovery, and replicas reproduce.
 	users    []*User
 	urls     []*CommentURL
 	comments []*Comment
@@ -53,9 +57,10 @@ type DB struct {
 	followersOf      *shardedMap[ids.GabID, []ids.GabID]
 	votes            *shardedMap[ids.ObjectID, voteDelta]
 
-	// The event log and the registered views (events.go). events holds
-	// the retained tail; eventBase counts the compacted prefix, so the
-	// event at events[i] carries sequence number eventBase+i+1. waiters
+	// The event log and the registered views (events.go); eventMu also
+	// guards the entity slices above. events holds the retained tail;
+	// eventBase counts the compacted prefix, so the event at events[i]
+	// carries sequence number eventBase+i+1. waiters
 	// are AwaitEvents parkers, closed (all of them) by dispatch.
 	// seeded records whether New was given construction-time entities —
 	// state a pure event stream from sequence 0 would not reproduce, so
@@ -211,9 +216,6 @@ func (db *DB) AddUser(u *User) {
 	db.gate.RLock()
 	defer db.gate.RUnlock()
 	db.indexUser(u)
-	db.mu.Lock()
-	db.users = append(db.users, u)
-	db.mu.Unlock()
 	db.dispatch(UserAdded{User: u})
 }
 
@@ -227,9 +229,6 @@ func (db *DB) SubmitURL(cu *CommentURL) (canonical *CommentURL, inserted bool) {
 	defer db.gate.RUnlock()
 	canonical, inserted = db.urlByURL.getOrCreate(cu.URL, func() *CommentURL {
 		db.urlByID.set(cu.ID, cu)
-		db.mu.Lock()
-		db.urls = append(db.urls, cu)
-		db.mu.Unlock()
 		return cu
 	})
 	if inserted {
@@ -254,9 +253,6 @@ func (db *DB) AddComment(c *Comment) {
 	db.commentsByAuthor.update(c.AuthorID, func(old []*Comment) []*Comment {
 		return insertSorted(old, c)
 	})
-	db.mu.Lock()
-	db.comments = append(db.comments, c)
-	db.mu.Unlock()
 	db.commentsByURL.update(c.URLID, func(old []*Comment) []*Comment {
 		return insertSorted(old, c)
 	})
@@ -434,20 +430,20 @@ func (db *DB) Followers(id ids.GabID) []ids.GabID {
 // --- zero-copy iteration ------------------------------------------------
 
 // The Range accessors walk the store without materializing anything:
-// they pin the append-only insertion log's current length under a
-// brief read lock, then iterate outside any lock — records are
-// immutable once inserted and the log is never shifted, so the walk is
-// safe against concurrent writers and sees a consistent prefix of the
-// store. Handlers and full-corpus analyses should iterate this way;
-// the slice-returning snapshot accessors below remain for callers that
-// genuinely need an indexable snapshot (tests, bulk export).
+// they pin the append-only entity slice's current length under a brief
+// lock, then iterate outside any lock — records are immutable once
+// inserted and the slice is never shifted, so the walk is safe against
+// concurrent writers and sees a consistent prefix of the store, in
+// event-log order. Handlers and full-corpus analyses should iterate
+// this way; URLs (below) hands out the same pinned slice for callers
+// that need it indexable.
 
 // RangeUsers calls f for each user in insertion order until f returns
 // false. Users inserted after the call starts are not visited.
 func (db *DB) RangeUsers(f func(*User) bool) {
-	db.mu.RLock()
+	db.eventMu.Lock()
 	users := db.users
-	db.mu.RUnlock()
+	db.eventMu.Unlock()
 	for _, u := range users {
 		if !f(u) {
 			return
@@ -458,9 +454,9 @@ func (db *DB) RangeUsers(f func(*User) bool) {
 // RangeURLs calls f for each comment-page URL in insertion order until
 // f returns false.
 func (db *DB) RangeURLs(f func(*CommentURL) bool) {
-	db.mu.RLock()
+	db.eventMu.Lock()
 	urls := db.urls
-	db.mu.RUnlock()
+	db.eventMu.Unlock()
 	for _, cu := range urls {
 		if !f(cu) {
 			return
@@ -471,9 +467,9 @@ func (db *DB) RangeURLs(f func(*CommentURL) bool) {
 // RangeComments calls f for each comment in insertion order until f
 // returns false.
 func (db *DB) RangeComments(f func(*Comment) bool) {
-	db.mu.RLock()
+	db.eventMu.Lock()
 	comments := db.comments
-	db.mu.RUnlock()
+	db.eventMu.Unlock()
 	for _, c := range comments {
 		if !f(c) {
 			return
@@ -504,66 +500,13 @@ func (db *DB) RangeFollows(f func(from ids.GabID, tos []ids.GabID) bool) {
 	db.following.forEach(f)
 }
 
-// --- snapshot accessors -------------------------------------------------
-
-// The whole-store snapshot accessors below are deprecated: the read
-// surface a replica (or any future backend) must support is the
-// O(page)/streaming one — point lookups, the Range walks, and the
-// write-maintained views — not "hand me the whole store as a slice".
-// They remain for bulk export; new code should use RangeUsers /
-// RangeURLs / RangeComments / RangeFollows, or Checkpoint when a
-// consistent cut is required.
-
-// Users returns all users in insertion order. The slice is a stable
-// snapshot; callers must not modify it.
-//
-// Deprecated: iterate with RangeUsers instead; use Checkpoint for a
-// consistent bulk export.
-func (db *DB) Users() []*User {
-	db.mu.RLock()
-	out := db.users
-	db.mu.RUnlock()
-	return out
-}
-
-// URLs returns all comment-page URLs in insertion order. The slice is a
-// stable snapshot; callers must not modify it.
-//
-// Deprecated: iterate with RangeURLs instead; use Checkpoint for a
-// consistent bulk export.
+// URLs returns all comment-page URLs in insertion order, in O(1): the
+// append-only slice itself, pinned at its current length. Callers must
+// not modify it.
 func (db *DB) URLs() []*CommentURL {
-	db.mu.RLock()
+	db.eventMu.Lock()
 	out := db.urls
-	db.mu.RUnlock()
-	return out
-}
-
-// Comments returns all comments in insertion order. The slice is a
-// stable snapshot; callers must not modify it.
-//
-// Deprecated: iterate with RangeComments instead; use Checkpoint for a
-// consistent bulk export.
-func (db *DB) Comments() []*Comment {
-	db.mu.RLock()
-	out := db.comments
-	db.mu.RUnlock()
-	return out
-}
-
-// Follows returns a copy of the follow-edge map, assembled from the
-// sharded forward index. The edge slices are shared snapshots; callers
-// must not modify them. Shards are visited in turn, so edges inserted
-// mid-call on an already-visited shard are missed — a bulk accessor
-// for quiesced stores (graph export), not a consistent cut.
-//
-// Deprecated: iterate with RangeFollows instead; use Checkpoint for a
-// consistent bulk export.
-func (db *DB) Follows() map[ids.GabID][]ids.GabID {
-	out := make(map[ids.GabID][]ids.GabID)
-	db.following.forEach(func(from ids.GabID, tos []ids.GabID) bool {
-		out[from] = tos
-		return true
-	})
+	db.eventMu.Unlock()
 	return out
 }
 

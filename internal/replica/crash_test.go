@@ -52,8 +52,7 @@ func TestReplicaChildProcess(t *testing.T) {
 	bind := func(db *platform.DB) {
 		web := dissenterweb.NewServer(db,
 			dissenterweb.ReadOnly(),
-			dissenterweb.WithURLRateLimit(0, 0),
-			dissenterweb.WithResponseCache(0, 0))
+			dissenterweb.WithURLRateLimit(0, 0))
 		for tok, sess := range crashSessions {
 			web.RegisterSession(tok, sess)
 		}
@@ -200,12 +199,14 @@ func TestReplicaCrashRecovery(t *testing.T) {
 	primary := platform.New(nil, nil, nil, nil)
 	pub := httptest.NewServer(&Publisher{DB: primary})
 	t.Cleanup(pub.Close)
-	pweb := dissenterweb.NewServer(primary,
-		dissenterweb.WithURLRateLimit(0, 0),
-		dissenterweb.WithResponseCache(0, 0))
+	pweb := dissenterweb.NewServer(primary, dissenterweb.WithURLRateLimit(0, 0))
 	for tok, sess := range crashSessions {
 		pweb.RegisterSession(tok, sess)
 	}
+	// corpus writes to the store directly, not through pweb's handlers,
+	// so pweb's cache follows the store the way a replica's does: from
+	// the event stream.
+	primary.RegisterView(pweb.EventInvalidator())
 	pwebSrv := httptest.NewServer(pweb)
 	t.Cleanup(pwebSrv.Close)
 	dir := t.TempDir()

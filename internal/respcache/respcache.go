@@ -8,27 +8,24 @@
 // convention; a mutation invalidates every view of one subject with
 // exact Invalidate calls over the enumerable view suffixes — or, for
 // entries whose mutable parts the writer can recompute cheaply,
-// patches the live entry in place with Update. Renders happen outside
-// the lock under the epoch protocol: the key's epoch is snapshotted
-// before reading the backing store, and the insert is discarded if the
-// key was invalidated in between — a render that raced a write is
-// never cached stale. GetOrFill (below) is the read path that drives
-// this protocol for every HTTP handler; the Epoch/PutAt pair it is
-// built on remains exported as the low-level escape hatch for callers
-// that need to separate the snapshot from the render themselves.
+// patches the live entry in place with Update. GetOrFill is the one
+// fill path: it renders outside the lock under the epoch protocol —
+// the key's epoch is snapshotted before the fill reads the backing
+// store, and the insert is discarded if the key was invalidated in
+// between, so a render that raced a write is never cached stale.
 // Entries expire TTL after insertion regardless of use (no
 // read-refresh): explicit invalidation is the primary mechanism and
 // the TTL is only a backstop against writes that bypass it.
 //
-// GetOrFill adds miss coalescing (singleflight) on top: N concurrent
-// misses on one key run ONE fill, and the waiters are handed the
-// filler's result directly. The fill composes with the tombstone
-// protocol — the filler's epoch is snapshotted under the same lock
-// acquisition that published its flight, so a fill racing an
-// invalidation of its key is served to the already-enqueued waiters
-// but never cached. Invalidate also detaches any in-flight fill for
-// the key, so a miss arriving AFTER the invalidation starts a fresh
-// fill instead of adopting the doomed one.
+// GetOrFill also coalesces misses (singleflight): N concurrent misses
+// on one key run ONE fill, and the waiters are handed the filler's
+// result directly. The fill composes with the tombstone protocol — the
+// filler's epoch is snapshotted under the same lock acquisition that
+// published its flight, so a fill racing an invalidation of its key is
+// served to the already-enqueued waiters but never cached. Invalidate
+// also detaches any in-flight fill for the key, so a miss arriving
+// AFTER the invalidation starts a fresh fill instead of adopting the
+// doomed one.
 //
 // # Composed-response entries
 //
@@ -38,13 +35,13 @@
 // sequence number, minted under the same lock acquisition that makes
 // the generation reachable. The lifecycle is:
 //
-//   - GetOrFillRev mints the Rev when the fill's flight is published;
-//     the fill composes the final response once (render, gzip, ETag
-//     from the Rev) and the composed form is cached with the entry.
-//   - UpdateRev patches the entry in place AND re-stamps it with a
-//     fresh Rev under the shard lock, so the patched generation gets a
-//     new ETag atomically with the content change — a client holding
-//     the previous ETag can never revalidate against the patched body.
+//   - GetOrFill mints the Rev when the fill's flight is published; the
+//     fill composes the final response once (render, gzip, ETag from
+//     the Rev) and the composed form is cached with the entry.
+//   - Update patches the entry in place AND re-stamps it with a fresh
+//     Rev under the shard lock, so the patched generation gets a new
+//     ETag atomically with the content change — a client holding the
+//     previous ETag can never revalidate against the patched body.
 //   - Invalidate bumps the shard epoch, so any generation stamped
 //     before it carries a Rev that no later generation can repeat.
 //
@@ -73,8 +70,7 @@ import (
 const cacheShards = 16
 
 // Cache is a fixed-capacity sharded LRU with per-entry expiry. The zero
-// value is not usable; construct with New. A nil *Cache is a valid
-// no-op cache, which is how callers disable caching.
+// value is not usable; construct with New.
 type Cache[V any] struct {
 	shards [cacheShards]lruShard[V]
 }
@@ -93,9 +89,9 @@ type lruShard[V any] struct {
 	head, tail *entry[V]
 	// epoch increments on every invalidation in this shard. tomb
 	// records, per exact key, the epoch of its latest invalidation, so
-	// PutAt can discard a render that began before that key was
+	// GetOrFill can discard a render that began before that key was
 	// invalidated without penalizing other keys. tombFloor discards all
-	// older in-flight puts; it only advances when tomb overflows.
+	// older in-flight fills; it only advances when tomb overflows.
 	epoch     uint64
 	tomb      map[string]uint64
 	tombFloor uint64
@@ -129,13 +125,9 @@ type entry[V any] struct {
 	prev, next *entry[V]
 }
 
-// New builds a cache holding roughly maxSize entries, each valid for
-// ttl. maxSize <= 0 or ttl <= 0 returns nil: a disabled cache on which
-// every method is a safe no-op.
+// New builds a cache holding roughly maxSize entries (rounded up to a
+// multiple of the shard count), each valid for ttl.
 func New[V any](maxSize int, ttl time.Duration) *Cache[V] {
-	if maxSize <= 0 || ttl <= 0 {
-		return nil
-	}
 	perShard := (maxSize + cacheShards - 1) / cacheShards
 	c := &Cache[V]{}
 	for i := range c.shards {
@@ -153,51 +145,9 @@ func (s *lruShard[V]) init(maxSize int, ttl time.Duration) {
 	s.flights = make(map[string]*flight[V])
 }
 
-func (c *Cache[V]) shard(key string) *lruShard[V] {
+// shardOf returns the shard that owns key.
+func shardOf[V any](c *Cache[V], key string) *lruShard[V] {
 	return &c.shards[hashkit.FNV1a(key)%cacheShards]
-}
-
-// Get returns the cached value for key if present and unexpired, and
-// marks it most recently used.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	var zero V
-	if c == nil {
-		return zero, false
-	}
-	return c.shard(key).get(key)
-}
-
-// Put inserts or replaces the value for key, restarting its TTL and
-// evicting the least recently used entry if the key's shard is full.
-func (c *Cache[V]) Put(key string, val V) {
-	if c == nil {
-		return
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	s.put(key, val)
-	s.mu.Unlock()
-}
-
-// GetOrFill returns the cached value for key, or renders it with fill
-// — coalescing concurrent misses so N requests racing on one cold key
-// run ONE fill. The second return reports whether the caller was
-// served without running fill itself (a cache hit or a coalesced
-// wait); followers of a flight count as hits in Stats, since the cache
-// saved their render. The fill runs outside the shard lock with the
-// key's epoch snapshotted first, exactly like the Epoch/PutAt pair: if
-// the key is invalidated while the fill is in flight, the result is
-// still handed to the waiters that had already coalesced (they arrived
-// before the invalidation) but is never cached, and misses arriving
-// after the invalidation start a fresh fill (Invalidate detaches the
-// flight). fill must not call back into the cache for the same key.
-//
-// On a nil (disabled) cache, GetOrFill degrades to calling fill.
-func (c *Cache[V]) GetOrFill(key string, fill func() V) (V, bool) {
-	if c == nil {
-		return fill(), false
-	}
-	return c.GetOrFillRev(key, func(Rev) V { return fill() })
 }
 
 // Rev identifies one content generation of one cache key: the shard's
@@ -205,9 +155,7 @@ func (c *Cache[V]) GetOrFill(key string, fill func() V) (V, bool) {
 // shard-monotonic sequence number. Two distinct generations never
 // share a Rev (Seq only moves forward), which makes ETag a sound
 // strong validator: byte-different bodies always carry different tags.
-// The zero Rev is reserved for unstamped renders (disabled cache,
-// panic-recovery fallback fills); stamped generations always have
-// Seq >= 1.
+// Stamped generations always have Seq >= 1.
 type Rev struct {
 	Epoch, Seq uint64
 }
@@ -217,27 +165,30 @@ func (r Rev) ETag() string {
 	return `"` + strconv.FormatUint(r.Epoch, 16) + "-" + strconv.FormatUint(r.Seq, 16) + `"`
 }
 
-// GetOrFillRev is GetOrFill for fills that compose their response
-// bytes at write time: fill receives the Rev stamped for the
-// generation it is about to produce, minted under the same lock
-// acquisition that published the fill's flight. See the package
-// comment's composed-response lifecycle. On a nil cache, and for the
-// self-render fallback of a waiter whose flight leader panicked, fill
-// still receives a freshly minted (or zero, when nil) Rev so the
-// response it composes is internally consistent — it just is never
-// cached.
-func (c *Cache[V]) GetOrFillRev(key string, fill func(Rev) V) (V, bool) {
-	if c == nil {
-		return fill(Rev{}), false
-	}
-	s := c.shard(key)
+// GetOrFill returns the cached value for key, or renders it with fill
+// — coalescing concurrent misses so N requests racing on one cold key
+// run ONE fill. fill receives the Rev stamped for the generation it is
+// about to produce, minted under the same lock acquisition that
+// published the fill's flight (see the package comment's
+// composed-response lifecycle). Followers of a flight count as hits in
+// Stats, since the cache saved their render. The fill runs outside the
+// shard lock with the key's epoch snapshotted first: if the key is
+// invalidated while the fill is in flight, the result is still handed
+// to the waiters that had already coalesced (they arrived before the
+// invalidation) but is never cached, and misses arriving after the
+// invalidation start a fresh fill (Invalidate detaches the flight). A
+// waiter whose flight leader panicked renders for itself with a freshly
+// minted Rev, uncached. fill must not call back into the cache for the
+// same key.
+func (c *Cache[V]) GetOrFill(key string, fill func(Rev) V) V {
+	s := shardOf(c, key)
 	s.mu.Lock()
 	if e, ok := s.items[key]; ok && !s.now().After(e.expires) {
 		s.moveToFront(e)
 		s.hits++
 		v := e.val
 		s.mu.Unlock()
-		return v, true
+		return v
 	}
 	if f, ok := s.flights[key]; ok {
 		s.hits++
@@ -251,9 +202,9 @@ func (c *Cache[V]) GetOrFillRev(key string, fill func(Rev) V) (V, bool) {
 			s.seq++
 			rev := Rev{Epoch: s.epoch, Seq: s.seq}
 			s.mu.Unlock()
-			return fill(rev), false
+			return fill(rev)
 		}
-		return f.val, true
+		return f.val
 	}
 	f := &flight[V]{done: make(chan struct{})}
 	s.flights[key] = f
@@ -286,35 +237,23 @@ func (c *Cache[V]) GetOrFillRev(key string, fill func(Rev) V) (V, bool) {
 	}
 	s.mu.Unlock()
 	f.val = v
-	return v, false
+	return v
 }
 
 // Update patches the live entry for key in place, leaving its LRU
 // position and expiry untouched — the in-place alternative to
 // Invalidate for entries whose mutable parts the writer can recompute
-// cheaply (a vote tally span, an appended fragment). f runs under the
-// shard lock and must be fast; it must not call back into the cache.
-// Returns false when no unexpired entry exists — callers then fall
-// back to Invalidate, whose tombstone also discards any fill racing
-// the write.
-func (c *Cache[V]) Update(key string, f func(V) V) bool {
-	if c == nil {
-		return false
-	}
-	return c.UpdateRev(key, func(v V, _ Rev) V { return f(v) })
-}
-
-// UpdateRev is Update for composed-response entries: f additionally
-// receives a fresh Rev, minted under the shard lock atomically with
-// the patch, which the patched value must adopt as its new generation
-// identity (re-derive the ETag, drop the stale composed bytes). The
-// re-stamp is what guarantees a client revalidating with the
-// pre-patch ETag gets a full 200 with the new body, never a 304.
-func (c *Cache[V]) UpdateRev(key string, f func(V, Rev) V) bool {
-	if c == nil {
-		return false
-	}
-	s := c.shard(key)
+// cheaply (a vote tally span, an appended fragment). f receives a
+// fresh Rev, minted under the shard lock atomically with the patch,
+// which the patched value must adopt as its new generation identity
+// (re-derive the ETag, drop the stale composed bytes): the re-stamp is
+// what guarantees a client revalidating with the pre-patch ETag gets a
+// full 200 with the new body, never a 304. f runs under the shard lock
+// and must be fast; it must not call back into the cache. Returns
+// false when no unexpired entry exists — callers then fall back to
+// Invalidate, whose tombstone also discards any fill racing the write.
+func (c *Cache[V]) Update(key string, f func(V, Rev) V) bool {
+	s := shardOf(c, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.items[key]
@@ -322,24 +261,22 @@ func (c *Cache[V]) UpdateRev(key string, f func(V, Rev) V) bool {
 		return false
 	}
 	s.seq++
-	//lint:ignore lockscope UpdateRev's contract: f patches the entry under the shard lock so racing patches serialize; it must be fast and not re-enter the cache
+	//lint:ignore lockscope Update's contract: f patches the entry under the shard lock so racing patches serialize; it must be fast and not re-enter the cache
 	e.val = f(e.val, Rev{Epoch: s.epoch, Seq: s.seq})
 	return true
 }
 
-// GetBytes is Get with the key passed as a scratch []byte: the lookup
-// uses the compiler's non-allocating map-index-by-converted-bytes form
-// and hashes the bytes directly, so a caller that composes its key
-// into a stack buffer probes the cache with zero heap allocations.
-// Unlike Get, a miss here does NOT count in Stats — GetBytes is the
-// fast-path probe in front of GetOrFill(Rev), and the fall-through
-// call is the one that does the miss accounting (and possibly still
-// hits, via an entry or flight that appeared in between).
+// GetBytes returns the live entry for key, passed as a scratch []byte:
+// the lookup uses the compiler's non-allocating
+// map-index-by-converted-bytes form and hashes the bytes directly, so a
+// caller that composes its key into a stack buffer probes the cache
+// with zero heap allocations. A hit counts in Stats and marks the
+// entry most recently used; a miss does NOT count — GetBytes is the
+// fast-path probe in front of GetOrFill, and the fall-through call is
+// the one that does the miss accounting (and possibly still hits, via
+// an entry or flight that appeared in between).
 func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	var zero V
-	if c == nil {
-		return zero, false
-	}
 	s := &c.shards[hashkit.FNV1aBytes(key)%cacheShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -356,54 +293,19 @@ func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	return e.val, true
 }
 
-// Epoch returns the key's current invalidation epoch. Snapshot it
-// before rendering and pass it to PutAt so a render that raced with an
-// invalidation of the key is never cached stale. Most callers want
-// GetOrFill, which drives this snapshot-render-insert protocol (plus
-// miss coalescing) internally; Epoch/PutAt is the low-level pair for
-// callers that separate the steps themselves.
-func (c *Cache[V]) Epoch(key string) uint64 {
-	if c == nil {
-		return 0
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
-
-// PutAt is Put, but discarded if key was invalidated since the epoch
-// snapshot was taken. Invalidations of other keys in the same shard do
-// not discard the put.
-func (c *Cache[V]) PutAt(key string, val V, epoch uint64) {
-	if c == nil {
-		return
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if epoch < s.tombFloor || s.tomb[key] > epoch {
-		return
-	}
-	s.put(key, val)
-}
-
 // Invalidate drops the entry for key, if any, and tombstones the key
-// so an in-flight PutAt or GetOrFill for it (snapshotted earlier) is
-// discarded. A live flight for the key is also detached: its waiters
-// still receive its value, but later misses start a fresh fill.
+// so an in-flight GetOrFill for it (snapshotted earlier) is discarded.
+// A live flight for the key is also detached: its waiters still
+// receive its value, but later misses start a fresh fill.
 func (c *Cache[V]) Invalidate(key string) {
-	if c == nil {
-		return
-	}
-	s := c.shard(key)
+	s := shardOf(c, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.epoch++
 	s.tomb[key] = s.epoch
 	delete(s.flights, key)
 	// Bound the tombstone map: on overflow, fall back to discarding all
-	// of this shard's in-flight puts once and start over.
+	// of this shard's in-flight fills once and start over.
 	if len(s.tomb) > s.maxSize {
 		s.tomb = make(map[string]uint64)
 		s.tombFloor = s.epoch
@@ -413,27 +315,8 @@ func (c *Cache[V]) Invalidate(key string) {
 	}
 }
 
-// Len returns the number of live entries (including any not yet
-// observed to be expired).
-func (c *Cache[V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.items)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Stats reports cumulative hit/miss counts.
 func (c *Cache[V]) Stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
@@ -445,25 +328,6 @@ func (c *Cache[V]) Stats() (hits, misses uint64) {
 }
 
 // --- shard internals (callers hold s.mu unless noted) -------------------
-
-func (s *lruShard[V]) get(key string) (V, bool) {
-	var zero V
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.items[key]
-	if !ok {
-		s.misses++
-		return zero, false
-	}
-	if s.now().After(e.expires) {
-		s.remove(e)
-		s.misses++
-		return zero, false
-	}
-	s.moveToFront(e)
-	s.hits++
-	return e.val, true
-}
 
 func (s *lruShard[V]) put(key string, val V) {
 	if e, ok := s.items[key]; ok {

@@ -18,19 +18,46 @@ func fixedNow[V any](c *Cache[V]) func(time.Duration) {
 	return func(d time.Duration) { now = now.Add(d) }
 }
 
+// get probes key the way the serving hot path does.
+func get[V any](c *Cache[V], key string) (V, bool) { return c.GetBytes([]byte(key)) }
+
+// fillWith returns a fill that yields v and counts its runs in *n.
+func fillWith[V any](v V, n *int) func(Rev) V {
+	return func(Rev) V { *n++; return v }
+}
+
+// live counts the entries held across all shards, expired or not.
+func live[V any](c *Cache[V]) int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += len(s.items)
+		s.mu.Unlock()
+	}
+	return n
+}
+
 func TestGetPut(t *testing.T) {
 	c := New[string](32, time.Minute)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("a", "1")
-	if v, ok := c.Get("a"); !ok || v != "1" {
-		t.Fatalf("Get(a) = %q, %v", v, ok)
+	fills := 0
+	if v := c.GetOrFill("a", fillWith("1", &fills)); v != "1" {
+		t.Fatalf("miss fill = %q", v)
 	}
-	c.Put("a", "2")
-	if v, _ := c.Get("a"); v != "2" {
-		t.Fatalf("overwrite: got %q", v)
+	if v := c.GetOrFill("a", fillWith("2", &fills)); v != "1" {
+		t.Fatalf("second GetOrFill = %q, want the cached fill", v)
 	}
+	if v, ok := get(c, "a"); !ok || v != "1" {
+		t.Fatalf("GetBytes(a) = %q, %v", v, ok)
+	}
+	if fills != 1 {
+		t.Fatalf("%d fills ran, want 1", fills)
+	}
+	// The GetBytes miss on the empty cache is not counted: the
+	// GetOrFill fall-through behind it does the miss accounting.
 	hits, misses := c.Stats()
 	if hits != 2 || misses != 1 {
 		t.Fatalf("stats = %d/%d, want 2/1", hits, misses)
@@ -43,7 +70,15 @@ func TestLRUEviction(t *testing.T) {
 	var s lruShard[int]
 	s.init(3, time.Minute)
 	put := func(k string, v int) { s.mu.Lock(); s.put(k, v); s.mu.Unlock() }
-	get := func(k string) bool { _, ok := s.get(k); return ok }
+	get := func(k string) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		e, ok := s.items[k]
+		if ok {
+			s.moveToFront(e)
+		}
+		return ok
+	}
 	put("a", 1)
 	put("b", 2)
 	put("c", 3)
@@ -65,90 +100,88 @@ func TestLRUEviction(t *testing.T) {
 func TestTTLExpiry(t *testing.T) {
 	c := New[string](32, time.Minute)
 	advance := fixedNow(c)
-	c.Put("a", "1")
+	fills := 0
+	c.GetOrFill("a", fillWith("1", &fills))
 	advance(30 * time.Second)
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := get(c, "a"); !ok {
 		t.Fatal("expired too early")
 	}
 	advance(31 * time.Second)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("entry outlived its TTL")
 	}
-	if c.Len() != 0 {
-		t.Errorf("expired entry still counted: Len = %d", c.Len())
+	if n := live(c); n != 0 {
+		t.Errorf("expired entry still held: %d entries", n)
 	}
-	// A fresh Put restarts the TTL.
-	c.Put("a", "2")
+	// A fresh fill restarts the TTL.
+	if v := c.GetOrFill("a", fillWith("2", &fills)); v != "2" {
+		t.Fatalf("refill after expiry = %q", v)
+	}
 	advance(59 * time.Second)
-	if v, ok := c.Get("a"); !ok || v != "2" {
-		t.Fatal("re-put entry should be live")
+	if v, ok := get(c, "a"); !ok || v != "2" {
+		t.Fatal("refilled entry should be live")
 	}
 }
 
 func TestInvalidate(t *testing.T) {
 	c := New[string](32, time.Minute)
-	c.Put("disc|https://x.test/|00", "a")
-	c.Put("disc|https://x.test/|10", "b")
-	c.Put("trends|00", "d")
+	fills := 0
+	c.GetOrFill("disc|https://x.test/|00", fillWith("a", &fills))
+	c.GetOrFill("disc|https://x.test/|10", fillWith("b", &fills))
+	c.GetOrFill("trends|00", fillWith("d", &fills))
 
 	c.Invalidate("trends|00")
-	if _, ok := c.Get("trends|00"); ok {
+	if _, ok := get(c, "trends|00"); ok {
 		t.Error("Invalidate left the entry")
 	}
 	// Invalidating one view of a subject leaves the others.
 	c.Invalidate("disc|https://x.test/|00")
-	if _, ok := c.Get("disc|https://x.test/|00"); ok {
+	if _, ok := get(c, "disc|https://x.test/|00"); ok {
 		t.Error("invalidated view survived")
 	}
-	if _, ok := c.Get("disc|https://x.test/|10"); !ok {
+	if _, ok := get(c, "disc|https://x.test/|10"); !ok {
 		t.Error("sibling view dropped")
 	}
 }
 
-func TestPutAtDiscardsStaleRender(t *testing.T) {
+// TestFillSurvivesOtherKeyInvalidation: the tombstone is per key, so
+// an invalidation of a DIFFERENT key in the same shard while a fill is
+// in flight must not discard it — otherwise steady writes anywhere
+// would starve the whole cache. (A fill racing an invalidation of its
+// OWN key is TestGetOrFillRacingInvalidateNotCached.)
+func TestFillSurvivesOtherKeyInvalidation(t *testing.T) {
 	c := New[string](32, time.Minute)
-	// A render that started before an invalidation of its key must not
-	// be cached: it may predate the write that triggered the
-	// invalidation.
-	epoch := c.Epoch("disc|u|00")
-	c.Invalidate("disc|u|00") // the concurrent write path fires
-	c.PutAt("disc|u|00", "stale", epoch)
-	if _, ok := c.Get("disc|u|00"); ok {
-		t.Fatal("stale render survived a concurrent invalidation")
-	}
-	// Without an intervening invalidation the put lands.
-	epoch = c.Epoch("disc|u|00")
-	c.PutAt("disc|u|00", "fresh", epoch)
-	if v, ok := c.Get("disc|u|00"); !ok || v != "fresh" {
-		t.Fatalf("fresh render not cached: %q %v", v, ok)
-	}
-	// Invalidating a DIFFERENT key must not discard this key's put —
-	// otherwise steady writes anywhere would starve the whole cache.
-	epoch = c.Epoch("disc|u|01")
-	c.Invalidate("disc|other|00")
-	c.PutAt("disc|u|01", "unrelated", epoch)
-	if _, ok := c.Get("disc|u|01"); !ok {
-		t.Fatal("unrelated invalidation discarded an in-flight put")
+	key := "disc|u|01"
+	other := sameShardKey(c, shardOf(c, key), 0)
+	c.GetOrFill(key, func(Rev) string {
+		c.Invalidate(other) // the write path fires mid-fill, elsewhere
+		return "unrelated"
+	})
+	if v, ok := get(c, key); !ok || v != "unrelated" {
+		t.Fatalf("unrelated invalidation discarded an in-flight fill: %q %v", v, ok)
 	}
 }
 
 func TestTombOverflowFloorsInFlightPuts(t *testing.T) {
 	c := New[string](16, time.Minute) // 1 entry per shard
-	// Overflow one shard's tombstone map; the epoch snapshotted before
-	// the overflow must then be rejected (conservative fallback).
+	// Overflow one shard's tombstone map while a fill is in flight; the
+	// epoch it snapshotted before the overflow must then be rejected
+	// (conservative fallback).
 	key := "victim"
-	s := c.shard(key)
-	epoch := c.Epoch(key)
-	for i := 0; len(s.tomb) > 0 || i == 0; i++ {
-		c.Invalidate(sameShardKey(c, s, i))
+	s := shardOf(c, key)
+	c.GetOrFill(key, func(Rev) string {
+		for i := 0; len(s.tomb) > 0 || i == 0; i++ {
+			c.Invalidate(sameShardKey(c, s, i))
+		}
+		return "stale"
+	})
+	if _, ok := get(c, key); ok {
+		t.Fatal("pre-overflow fill cached after tomb reset")
 	}
-	c.PutAt(key, "stale", epoch)
-	if _, ok := c.Get(key); ok {
-		t.Fatal("pre-overflow snapshot accepted after tomb reset")
-	}
-	c.PutAt(key, "fresh", c.Epoch(key))
-	if _, ok := c.Get(key); !ok {
-		t.Fatal("fresh snapshot rejected after tomb reset")
+	fills := 0
+	c.GetOrFill(key, fillWith("fresh", &fills))
+	if v, ok := get(c, key); !ok || v != "fresh" {
+		t.Fatalf("fresh fill rejected after tomb reset: %q %v", v, ok)
 	}
 }
 
@@ -156,7 +189,7 @@ func TestTombOverflowFloorsInFlightPuts(t *testing.T) {
 func sameShardKey[V any](c *Cache[V], s *lruShard[V], i int) string {
 	for j := i * 1000; ; j++ {
 		k := fmt.Sprintf("probe%d", j)
-		if c.shard(k) == s {
+		if shardOf(c, k) == s {
 			return k
 		}
 	}
@@ -174,7 +207,7 @@ func TestGetOrFillSingleflight(t *testing.T) {
 	release := make(chan struct{})
 	lead := make(chan string, 1)
 	go func() {
-		v, _ := c.GetOrFill("disc|u|00", func() string {
+		v := c.GetOrFill("disc|u|00", func(Rev) string {
 			fills++ // only the lead runs fills; no lock needed
 			close(filling)
 			<-release
@@ -191,14 +224,10 @@ func TestGetOrFillSingleflight(t *testing.T) {
 		launched.Add(1)
 		go func() {
 			launched.Done()
-			v, served := c.GetOrFill("disc|u|00", func() string {
+			got <- c.GetOrFill("disc|u|00", func(Rev) string {
 				t.Error("follower ran its own fill")
 				return "duplicate render"
 			})
-			if !served {
-				t.Error("follower reported a self-rendered miss")
-			}
-			got <- v
 		}()
 	}
 	launched.Wait()
@@ -214,7 +243,7 @@ func TestGetOrFillSingleflight(t *testing.T) {
 	if fills != 1 {
 		t.Fatalf("%d fills ran, want 1", fills)
 	}
-	if v, ok := c.Get("disc|u|00"); !ok || v != "rendered once" {
+	if v, ok := get(c, "disc|u|00"); !ok || v != "rendered once" {
 		t.Fatalf("fill result not cached: %q %v", v, ok)
 	}
 }
@@ -228,12 +257,11 @@ func TestGetOrFillRacingInvalidateNotCached(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan string, 1)
 	go func() {
-		v, _ := c.GetOrFill("disc|u|00", func() string {
+		done <- c.GetOrFill("disc|u|00", func(Rev) string {
 			close(filling)
 			<-release
 			return "pre-write render"
 		})
-		done <- v
 	}()
 	<-filling
 	c.Invalidate("disc|u|00") // the write path fires mid-fill
@@ -241,17 +269,15 @@ func TestGetOrFillRacingInvalidateNotCached(t *testing.T) {
 	if v := <-done; v != "pre-write render" {
 		t.Fatalf("waiter got %q", v)
 	}
-	if _, ok := c.Get("disc|u|00"); ok {
+	if _, ok := get(c, "disc|u|00"); ok {
 		t.Fatal("fill racing an invalidation was cached stale")
 	}
 	refills := 0
-	if _, served := c.GetOrFill("disc|u|00", func() string { refills++; return "post-write render" }); served {
-		t.Error("post-invalidation request served without a fresh fill")
-	}
+	c.GetOrFill("disc|u|00", fillWith("post-write render", &refills))
 	if refills != 1 {
-		t.Fatalf("refills = %d, want 1", refills)
+		t.Fatalf("refills = %d, want 1: the post-invalidation request must run a fresh fill", refills)
 	}
-	if v, ok := c.Get("disc|u|00"); !ok || v != "post-write render" {
+	if v, ok := get(c, "disc|u|00"); !ok || v != "post-write render" {
 		t.Fatalf("fresh fill not cached: %q %v", v, ok)
 	}
 }
@@ -268,7 +294,7 @@ func TestGetOrFillPanickingFillDoesNotWedgeKey(t *testing.T) {
 	leadDone := make(chan any, 1)
 	go func() {
 		defer func() { leadDone <- recover() }()
-		c.GetOrFill("disc|u|00", func() string {
+		c.GetOrFill("disc|u|00", func(Rev) string {
 			close(filling)
 			<-release
 			panic("render exploded")
@@ -277,11 +303,7 @@ func TestGetOrFillPanickingFillDoesNotWedgeKey(t *testing.T) {
 	<-filling
 	waiter := make(chan string, 1)
 	go func() {
-		v, served := c.GetOrFill("disc|u|00", func() string { return "waiter fallback" })
-		if served {
-			t.Error("waiter of a failed flight reported being served")
-		}
-		waiter <- v
+		waiter <- c.GetOrFill("disc|u|00", func(Rev) string { return "waiter fallback" })
 	}()
 	// Give the waiter a moment to coalesce onto the doomed flight, then
 	// let the leader explode.
@@ -293,14 +315,14 @@ func TestGetOrFillPanickingFillDoesNotWedgeKey(t *testing.T) {
 	if v := <-waiter; v != "waiter fallback" {
 		t.Fatalf("waiter got %q", v)
 	}
-	if _, ok := c.Get("disc|u|00"); ok {
+	if _, ok := get(c, "disc|u|00"); ok {
 		t.Fatal("panicked fill left a cached value")
 	}
 	// The key must be fully functional again.
-	if v, _ := c.GetOrFill("disc|u|00", func() string { return "recovered" }); v != "recovered" {
+	if v := c.GetOrFill("disc|u|00", func(Rev) string { return "recovered" }); v != "recovered" {
 		t.Fatalf("post-panic fill got %q", v)
 	}
-	if v, ok := c.Get("disc|u|00"); !ok || v != "recovered" {
+	if v, ok := get(c, "disc|u|00"); !ok || v != "recovered" {
 		t.Fatalf("post-panic fill not cached: %q %v", v, ok)
 	}
 }
@@ -319,7 +341,7 @@ func TestGetOrFillConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				k := fmt.Sprintf("key%d", i%16)
-				c.GetOrFill(k, func() int {
+				c.GetOrFill(k, func(Rev) int {
 					mu.Lock()
 					fillCount++
 					mu.Unlock()
@@ -329,7 +351,7 @@ func TestGetOrFillConcurrent(t *testing.T) {
 				case i%37 == 0:
 					c.Invalidate(k)
 				case i%11 == 0:
-					if c.Update(k, func(v int) int { return v + 1 }) {
+					if c.Update(k, func(v int, _ Rev) int { return v + 1 }) {
 						mu.Lock()
 						updates++
 						mu.Unlock()
@@ -350,52 +372,29 @@ func TestGetOrFillConcurrent(t *testing.T) {
 func TestUpdatePatchesLiveEntriesOnly(t *testing.T) {
 	c := New[string](32, time.Minute)
 	advance := fixedNow(c)
-	if c.Update("a", func(v string) string { return v + "!" }) {
+	if c.Update("a", func(v string, _ Rev) string { return v + "!" }) {
 		t.Fatal("Update patched a missing entry")
 	}
-	c.Put("a", "v1")
-	if !c.Update("a", func(v string) string { return v + "+patch" }) {
+	var filled, patched Rev
+	c.GetOrFill("a", func(rev Rev) string { filled = rev; return "v1" })
+	if !c.Update("a", func(v string, rev Rev) string { patched = rev; return v + "+patch" }) {
 		t.Fatal("Update missed a live entry")
 	}
-	if v, _ := c.Get("a"); v != "v1+patch" {
+	if v, _ := get(c, "a"); v != "v1+patch" {
 		t.Fatalf("patched value = %q", v)
+	}
+	// The patch is a new generation: its Rev (and so its ETag) can
+	// never equal the filled one.
+	if patched.Seq <= filled.Seq || patched.ETag() == filled.ETag() {
+		t.Fatalf("patch re-stamped %+v after fill %+v", patched, filled)
 	}
 	// Patching must not extend the entry's life.
 	advance(61 * time.Second)
-	if c.Update("a", func(v string) string { return "resurrected" }) {
+	if c.Update("a", func(string, Rev) string { return "resurrected" }) {
 		t.Fatal("Update patched an expired entry")
 	}
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("expired entry served after failed patch")
-	}
-}
-
-func TestNilCacheIsDisabled(t *testing.T) {
-	var c *Cache[string]
-	if got := New[string](0, time.Minute); got != nil {
-		t.Fatal("size 0 should disable the cache")
-	}
-	if got := New[string](10, 0); got != nil {
-		t.Fatal("ttl 0 should disable the cache")
-	}
-	// Every method must be a safe no-op on nil.
-	c.Put("a", "1")
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("nil cache returned a hit")
-	}
-	c.Invalidate("a")
-	c.PutAt("a", "1", c.Epoch("a"))
-	if v, served := c.GetOrFill("a", func() string { return "filled" }); v != "filled" || served {
-		t.Fatalf("nil GetOrFill = %q, %v; want fill passthrough", v, served)
-	}
-	if c.Update("a", func(v string) string { return v }) {
-		t.Fatal("nil cache accepted a patch")
-	}
-	if c.Len() != 0 {
-		t.Fatal("nil cache has entries")
-	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatal("nil cache has stats")
 	}
 }
 
@@ -408,8 +407,8 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("key%d", (g*500+i)%100)
-				c.PutAt(k, i, c.Epoch(k))
-				c.Get(k)
+				c.GetOrFill(k, func(Rev) int { return i })
+				get(c, k)
 				if i%50 == 0 {
 					c.Invalidate(k)
 				}
@@ -417,7 +416,7 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 64 {
-		t.Errorf("Len = %d exceeds capacity", c.Len())
+	if n := live(c); n > 64 {
+		t.Errorf("%d entries held, exceeds capacity", n)
 	}
 }

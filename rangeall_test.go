@@ -2,8 +2,7 @@ package dissenter_test
 
 import "dissenter/internal/platform"
 
-// Collect helpers over the platform.DB Range walks; the whole-store
-// snapshot accessors are deprecated.
+// Collect helpers over the platform.DB Range walks.
 
 func allUsers(db *platform.DB) []*platform.User {
 	var out []*platform.User
